@@ -5,9 +5,9 @@
 // Invisible readers dereference other threads' transaction descriptors
 // and write-log entries through stripe lock words: SwissTM and TinySTM
 // publish a StripeWrite* in the lock, RSTM publishes the descriptor in
-// its ownership records and slot table. A descriptor must therefore
-// outlive every transaction that could have observed such a pointer,
-// even after its owning thread exits. The EpochManager provides that
+// its slot table (its ownership records name the slot). A descriptor
+// must therefore outlive every transaction that could have observed
+// such a pointer, even after its owning thread exits. The EpochManager provides that
 // guarantee with classic epoch-based reclamation:
 //
 //   * every transaction pins the current global epoch on begin (one

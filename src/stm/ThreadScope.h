@@ -20,7 +20,8 @@ namespace stm {
 /// The descriptor is heap-allocated and NOT destroyed when the scope
 /// dies: a concurrent transaction that observed a stripe lock word may
 /// still dereference the descriptor's write-log entries (or, for RSTM,
-/// the descriptor itself) after this thread has exited. Destruction
+/// the descriptor itself, found through the slot table) after this
+/// thread has exited. Destruction
 /// therefore runs threadShutdown() — which unlinks the descriptor from
 /// all globally visible state and drains its retired memory — and then
 /// parks the descriptor on the EpochManager's limbo list, where it is

@@ -4,14 +4,16 @@
 //
 // Every backend encodes a stripe's version number and its lock state in
 // one machine word: the low bit(s) tag the lock state, the remaining
-// bits carry the version (the commit timestamp of the last writer) or a
-// descriptor pointer. The tag width is the only difference between the
+// bits carry the version (the commit timestamp of the last writer) or
+// the owner's identity. The tag width is the only difference between the
 // backends' encodings:
 //
 //   SwissTM r-lock   1 tag bit   version<<1 free, 1 locked
 //   TL2 / TinySTM    1 tag bit   version<<1 free, descriptor|1 locked
-//   RSTM orec        2 tag bits  version<<2 free, descriptor|1 owned,
-//                                descriptor|3 owner committing
+//   RSTM orec        2 tag bits  version<<2 free, owner|1 owned,
+//                                owner|3 owner committing (owner =
+//                                per-attempt serial and slot, see
+//                                rstm/Rstm.h)
 //
 // VersionedLockOps centralizes the shifts and masks so a backend states
 // its tag width once instead of hand-rolling three helpers.

@@ -95,6 +95,12 @@ enum class Inject : unsigned {
   /// post-release counter sample, re-opening the reclamation UAF
   /// window against invisible readers of an owned stripe's old value.
   RstmStampRetireTag,
+  /// RSTM commit-order bug: the commit stamp is minted (and the read
+  /// set validated) *before* the acquired orecs are flagged committing,
+  /// so an invisible reader holding an owned-not-committing word can
+  /// revalidate past the bumped counter, adopt it, and later skip the
+  /// validation that would have caught the write-back.
+  RstmStampBeforeFlag,
   /// orec bug class: rollback releases the orecs without unwinding the
   /// undo log, leaving an aborted writer's in-place speculative values
   /// in memory — the dirty-read exposure the undo-log-aware opacity

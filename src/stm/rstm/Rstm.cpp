@@ -49,6 +49,7 @@ void RstmTx::onStart() {
   WriteLog.clear();
   Acquired.clear();
   WSetMap.clear();
+  OwnedWord = 0;
   beginEpoch(GlobalState.CommitCounter);
   Cm.onStart(GlobalState.Config, GlobalState.GreedyTs, FreshStart);
 }
@@ -75,9 +76,12 @@ void RstmTx::maybeValidate() {
 bool RstmTx::validateReadSet() {
   for (const ReadEntry &R : ReadLog) {
     Word Cur = R.Rec->Owner.load(std::memory_order_acquire);
+    // Equality is sound because owned words are unique per attempt: an
+    // unchanged foreign owned word means that owner has not begun
+    // committing, so memory still holds the value we read.
     if (Cur == R.Seen)
       continue;
-    if (orecIsOwned(Cur) && orecOwner(Cur) == this) {
+    if (ownedByMe(Cur)) {
       // We acquired this stripe after reading it: valid iff nothing
       // committed in between, i.e. the pre-acquisition version matches
       // what we read.
@@ -122,7 +126,7 @@ Word RstmTx::load(const Word *Addr) {
                       MyBit);
         Rec.Readers.fetch_or(MyBit, std::memory_order_acq_rel);
         Word V = Rec.Owner.load(std::memory_order_acquire);
-        if (!orecIsCommitting(V) || orecOwner(V) == this)
+        if (!orecIsCommitting(V) || ownedByMe(V))
           break;
         // A writer is in write-back: retreat and wait for it to finish.
         Rec.Readers.fetch_and(~MyBit, std::memory_order_acq_rel);
@@ -150,7 +154,7 @@ Word RstmTx::load(const Word *Addr) {
   unsigned SpinStep = 0;
   while (true) {
     STM_DIAG_HOOK(Slot, Read, GlobalState.Table.indexOfEntry(&Rec), V1);
-    if (orecIsCommitting(V1) && orecOwner(V1) != this) {
+    if (orecIsCommitting(V1) && !ownedByMe(V1)) {
       checkKill();
       repro::spinWait(SpinStep);
       V1 = Rec.Owner.load(std::memory_order_acquire);
@@ -163,7 +167,12 @@ Word RstmTx::load(const Word *Addr) {
     V1 = V2;
   }
 
-  ReadLog.push_back(ReadEntry{&Rec, V1});
+  // A stripe this attempt owns cannot change under it until the attempt
+  // ends, so reading it adds nothing to validate. Logging it would also
+  // be wrong: the entry's owned word turns into our own committing word
+  // at commit, and every commit-time validation would fail on it.
+  if (!ownedByMe(V1))
+    ReadLog.push_back(ReadEntry{&Rec, V1});
   maybeValidate();
   return Value;
 }
@@ -186,21 +195,29 @@ void RstmTx::store(Word *Addr, Word Value) {
 }
 
 void RstmTx::acquireOrec(Orec &Rec) {
-  Word Mine = reinterpret_cast<Word>(this) | 1;
+  if (OwnedWord == 0) {
+    // First acquisition of this attempt: mint its owned word.
+    uint64_t &Serial = GlobalState.OwnerSerial[Slot].value();
+    OwnedWord = orecOwnedWord(++Serial, Slot);
+  }
   unsigned Attempts = 0;
   while (true) {
     Word V = Rec.Owner.load(std::memory_order_acquire);
     STM_DIAG_HOOK(Slot, Acquire, GlobalState.Table.indexOfEntry(&Rec), V);
     if (orecIsOwned(V)) {
-      if (orecOwner(V) == this)
+      if (ownedByMe(V))
         return; // stripe already ours (another word, or re-acquire)
       // Note the contended stripe for both parties before the CM can
-      // kill either; the victim's abort stays attributed.
-      RstmTx *Owner = orecOwner(V);
+      // kill either; the victim's abort stays attributed. The owner is
+      // whichever descriptor holds the slot now (null if it left): a
+      // stale resolution at worst kills or waits on the wrong attempt.
+      unsigned OwnerSlot = orecOwnerSlot(V);
+      RstmTx *Owner =
+          GlobalState.Descriptors[OwnerSlot].load(std::memory_order_acquire);
       STM_DIAG_NOTE_CONFLICT(Slot, nullptr,
                              GlobalState.Table.indexOfEntry(&Rec), V);
       if (Owner != nullptr)
-        STM_DIAG_NOTE_CONFLICT(Owner->threadSlot(), nullptr,
+        STM_DIAG_NOTE_CONFLICT(OwnerSlot, nullptr,
                                GlobalState.Table.indexOfEntry(&Rec), V);
       if (Cm.shouldAbort(GlobalState.Config, Owner, this, Attempts, Rng))
         rollback();
@@ -208,7 +225,8 @@ void RstmTx::acquireOrec(Orec &Rec) {
       repro::spinWait(Attempts);
       continue;
     }
-    if (Rec.Owner.compare_exchange_weak(V, Mine, std::memory_order_acq_rel,
+    if (Rec.Owner.compare_exchange_weak(V, OwnedWord,
+                                        std::memory_order_acq_rel,
                                         std::memory_order_acquire)) {
       Acquired.push_back(AcquiredOrec{&Rec, V});
       break;
@@ -260,10 +278,27 @@ void RstmTx::commit() {
   }
 
   // Lazy acquire: take every stripe now (duplicates collapse inside
-  // acquireOrec via the owner==this check).
+  // acquireOrec via the ownedByMe check).
   if (!GlobalState.Config.RstmEagerAcquire)
     for (const WriteEntry &W : WriteLog)
       acquireOrec(GlobalState.Table.entryFor(W.Addr));
+
+  // Enter the committing state *before* minting the stamp. An invisible
+  // reader may hold one of our stripes' owned word and its old value;
+  // once it sees the counter move past its valid-ts it revalidates, and
+  // that revalidation must fail on the committing tag. Flagging after
+  // the stamp would leave a window in which the reader passes, adopts
+  // the bumped counter, and then skips validation under the gv1
+  // "counter unmoved" heuristic while we write back: a stale read would
+  // commit. The
+  // fence also orders the flags before our own validation loads, so of
+  // two committers that each read the other's owned stripe at least one
+  // sees the other's flag and aborts (no serialization cycle).
+  // Inject::RstmStampBeforeFlag restores the old order for the
+  // regression schedules.
+  bool FlagFirst = !STM_DIAG_INJECTED(RstmStampBeforeFlag);
+  if (FlagFirst)
+    flagCommitting();
 
   // Commit timestamp under the configured clock policy.
   CommitStamp Stamp = takeCommitStamp(GlobalState.CommitCounter, [this] {
@@ -287,12 +322,10 @@ void RstmTx::commit() {
       !revalidate())
     rollback();
 
-  // Enter write-back: flag every owned stripe as committing, then make
-  // sure no visible reader still depends on the old values.
-  Word Committing = reinterpret_cast<Word>(this) | 3;
-  for (const AcquiredOrec &A : Acquired)
-    A.Rec->Owner.store(Committing, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!FlagFirst)
+    flagCommitting();
+  // Before write-back, make sure no visible reader still depends on the
+  // old values.
   for (const AcquiredOrec &A : Acquired)
     resolveVisibleReaders(*A.Rec);
 
@@ -321,14 +354,19 @@ void RstmTx::commit() {
   // Retire tag: a counter sample from *after* the release, not the
   // stamp. Unlike the other backends, an RSTM invisible reader may take
   // an owned-but-not-yet-committing stripe's old value — including a
-  // pointer this commit is about to unlink and txFree — so a
-  // transaction that began after our stamp was minted (its start
-  // timestamp exceeds Ts once the counter outruns a still-committing
-  // writer, routine under gv5 and a narrow increment-to-write-back
-  // window under gv1) can still hold the old pointer. Any transaction
-  // whose published start exceeds this post-release sample either began
-  // after the unlink was visible or revalidated past it (equality check
-  // fails on the released orec), so the quiescence horizon is sound.
+  // pointer this commit is about to unlink and txFree. Because the
+  // committing flag goes up before the stamp is minted, such a reader
+  // took the value before the stamp existed, and each revalidation it
+  // attempts afterwards fails on the flag or on the released version;
+  // its published start therefore stays at or below Ts. The
+  // post-release sample (never below Ts) is kept anyway because its
+  // soundness does not rest on that ordering: any transaction whose
+  // published start exceeds it either began after the unlink was
+  // visible or revalidated past it. With the stamp minted before the
+  // flag (Inject::RstmStampBeforeFlag), a reader could begin after the
+  // stamp — its start past Ts once the counter outruns the committing
+  // writer, routine under gv5 — and still take the old pointer; only
+  // the post-release sample covers that reader.
   uint64_t RetireTag = GlobalState.CommitCounter.load();
   // The PR 5 regression knob resurrects the original bug: tagging
   // retired blocks with the commit stamp instead of the post-release
@@ -336,6 +374,13 @@ void RstmTx::commit() {
   if (STM_DIAG_INJECTED(RstmStampRetireTag))
     RetireTag = Ts;
   baseCommit(RetireTag);
+}
+
+void RstmTx::flagCommitting() {
+  Word Committing = OwnedWord | 2;
+  for (const AcquiredOrec &A : Acquired)
+    A.Rec->Owner.store(Committing, std::memory_order_release);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 
 void RstmTx::rollback() {

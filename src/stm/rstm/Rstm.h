@@ -27,9 +27,20 @@
 //    higher-priority attackers, emulating RSTM's status-word stealing.
 //
 // Ownership record encoding (Owner word, two tag bits):
-//   version << 2             free
-//   descriptor | 1           owned (memory still holds the old values)
-//   descriptor | 3           owner committing (write-back in progress)
+//   version << 2                      free
+//   serial << 8 | slot << 2 | 1       owned (memory still holds the old
+//                                     values)
+//   serial << 8 | slot << 2 | 3       owner committing (stamp, validation
+//                                     and write-back in progress)
+//
+// An owned word names the owner's registry slot (resolved through
+// RstmGlobals::Descriptors) and a serial minted per writing attempt
+// from a per-slot counter, so no two attempts ever install the same
+// word — not even across a recycled slot. Invisible readers validate by
+// *equality* of owner words, which is only sound if a word that
+// reappears means "nothing changed": with a bare descriptor pointer, a
+// thread's next transaction re-owning a stripe it just committed would
+// restore the word a reader logged and hide the write (owner-word ABA).
 //
 //
 // INTERNAL HEADER — deprecated as an application include. The public
@@ -51,6 +62,7 @@
 #include "stm/core/LockTable.h"
 #include "stm/core/Validation.h"
 #include "stm/core/VersionedLock.h"
+#include "support/Padded.h"
 #include "support/Platform.h"
 
 #include <atomic>
@@ -73,15 +85,32 @@ inline bool orecIsOwned(Word V) { return OrecOps::isLocked(V); }
 inline bool orecIsCommitting(Word V) { return (V & 2) != 0; }
 inline uint64_t orecVersion(Word V) { return OrecOps::version(V); }
 inline Word orecMake(uint64_t Version) { return OrecOps::make(Version); }
-inline RstmTx *orecOwner(Word V) { return OrecOps::pointer<RstmTx>(V); }
+
+static_assert(repro::MaxThreads <= 64, "owner slot field is six bits wide");
+/// The owned word of attempt \p Serial in registry slot \p Slot.
+inline Word orecOwnedWord(uint64_t Serial, unsigned Slot) {
+  return static_cast<Word>(Serial << 8) | (Word(Slot) << 2) | 1;
+}
+/// The registry slot named by an owned word.
+inline unsigned orecOwnerSlot(Word V) {
+  return static_cast<unsigned>((V >> 2) & 63);
+}
 
 struct RstmGlobals {
   core::LockTable<Orec> Table;
   GlobalClock CommitCounter; ///< bumped by every update commit
   GlobalClock GreedyTs;
   StmConfig Config;
-  /// Registry slot -> descriptor, for reader-bit resolution.
+  /// Registry slot -> descriptor, for reader-bit and orec-owner
+  /// resolution.
   std::atomic<RstmTx *> Descriptors[repro::MaxThreads] = {};
+  /// Registry slot -> last owned-word serial minted there. Kept per
+  /// slot, not per descriptor, so a successor descriptor on a recycled
+  /// slot continues the sequence instead of repeating words a reader
+  /// may still hold in its read log. Plain words: only the thread
+  /// holding a slot touches its serial, and the registry's slot
+  /// release/claim orders successive holders.
+  repro::Padded<uint64_t> OwnerSerial[repro::MaxThreads];
 };
 
 RstmGlobals &rstmGlobals();
@@ -145,6 +174,16 @@ private:
   void maybeValidate();
   bool validateReadSet();
 
+  /// True iff \p V is this attempt's owned word, committing or not.
+  bool ownedByMe(Word V) const {
+    return orecIsOwned(V) && (V | 2) == (OwnedWord | 2);
+  }
+
+  /// Raises the committing tag on every acquired orec, then fences so
+  /// the flags are visible before the commit stamp is minted and before
+  /// any visible-reader bit or read-set entry is re-examined.
+  void flagCommitting();
+
   /// Acquires \p Rec for writing, resolving owner and visible-reader
   /// conflicts through the contention manager. Aborts (longjmps) if the
   /// manager rules against us.
@@ -161,6 +200,8 @@ private:
   std::vector<WriteEntry> WriteLog;
   std::vector<AcquiredOrec> Acquired;
   WriteMap WSetMap;
+  /// This attempt's owned word; 0 until its first acquisition mints one.
+  Word OwnedWord = 0;
 };
 
 /// STM facade.

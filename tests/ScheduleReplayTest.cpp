@@ -20,7 +20,13 @@
 //       - PR 5: the RSTM retire-tag reclamation window, driven by a
 //         hand-written schedule that parks the writer between its
 //         commit stamp and write-back (the exact window the fix
-//         closed), with a trace oracle over the replay log.
+//         closed), with a trace oracle over the replay log;
+//       - RSTM commit order: a reader revalidating between a writer's
+//         commit stamp and its committing flag commits over a stale
+//         read (lost update), resurrected by Inject::RstmStampBeforeFlag;
+//       - RSTM owner-word ABA: a writer's next transaction re-owning a
+//         stripe restores the owned word an invisible reader logged,
+//         and the reader's revalidation passes over the changed value.
 //
 //===----------------------------------------------------------------------===//
 
@@ -241,6 +247,35 @@ TEST(DiagEnumerateTest, TruncationIsLoudAndFrontBiased) {
 }
 
 #ifdef STM_DIAG
+
+//===----------------------------------------------------------------------===//
+// Hand-written step helpers (STM_DIAG builds)
+//===----------------------------------------------------------------------===//
+
+/// A Step::Until barrier: run \p Tid until it parks at a \p Kind hook
+/// (on \p Stripe, when given).
+Step untilAt(uint32_t Tid, HookKind Kind,
+             uint64_t Stripe = stm::diag::NoStripe) {
+  Step St;
+  St.Tid = Tid;
+  St.Kind = Kind;
+  St.Stripe = Stripe;
+  St.Until = true;
+  return St;
+}
+
+/// An Until barrier on a hook the thread never fires (Retire needs
+/// pending frees) degenerates to "run this thread to completion".
+Step untilDone(uint32_t Tid) { return untilAt(Tid, HookKind::Retire); }
+
+/// An exact step: grant \p Tid's pending \p Kind hook (on \p Stripe,
+/// when given) and run it to its next hook.
+Step exactAt(uint32_t Tid, HookKind Kind,
+             uint64_t Stripe = stm::diag::NoStripe) {
+  Step St = untilAt(Tid, Kind, Stripe);
+  St.Until = false;
+  return St;
+}
 
 //===----------------------------------------------------------------------===//
 // Record -> replay determinism (STM_DIAG builds)
@@ -587,7 +622,11 @@ bool retireOracleViolated(const std::vector<Event> &Log) {
 /// oracle over the serialized log. The hand-written schedule parks the
 /// writer W at its commit-stamp hook — stamp minted, P's orec still
 /// owned-but-not-committing, which is the window in which an invisible
-/// reader may still take the stripe's old value — while a second
+/// reader may still take the stripe's old value. RSTM flags its orecs
+/// committing before it mints the stamp, which closes that window
+/// (R would spin on P's flag instead of reading it), so both halves run
+/// with Inject::RstmStampBeforeFlag to reopen it: the retire tag is the
+/// last guard left, which is what this test is about. Meanwhile a second
 /// committer drags the deferred counter past W's stamp and the reader
 /// then begins (publishing a start past the stamp) and reads P's old
 /// value:
@@ -627,43 +666,32 @@ RetireTagRun runRetireTagSchedule(bool InjectOldBug) {
   P = Q = Z = 0;
   void *Retired = std::malloc(32);
 
+  InjectGuard StampBeforeFlag(stm::diag::Inject::RstmStampBeforeFlag);
   std::optional<InjectGuard> Guard;
   if (InjectOldBug)
     Guard.emplace(stm::diag::Inject::RstmStampRetireTag);
 
-  auto Until = [](uint32_t Tid, HookKind Kind) {
-    Step St;
-    St.Tid = Tid;
-    St.Kind = Kind;
-    St.Until = true;
-    return St;
-  };
-  // An Until barrier on a hook the thread never fires (Retire needs
-  // pending frees; C never calls txFree) degenerates to "run this
-  // thread to completion".
-  auto UntilDone = [&Until](uint32_t Tid) {
-    return Until(Tid, HookKind::Retire);
-  };
   std::vector<Step> Steps;
   // W mints its commit stamp and parks AT the commit-stamp hook: P's
   // orec is owned but not yet committing, so invisible readers still
   // take the old value.
-  Steps.push_back(Until(0, HookKind::CommitStamp));
+  Steps.push_back(untilAt(0, HookKind::CommitStamp));
   // R's dummy transaction runs up to (not through) its commit, so R's
   // next begin is the serialized step that samples the clock.
-  Steps.push_back(Until(2, HookKind::Commit));
+  Steps.push_back(untilAt(2, HookKind::Commit));
   // C runs two complete increments of Q: under gv5 each commit
   // publishes its stamp via advanceTo, dragging the counter past Ts.
-  Steps.push_back(UntilDone(1));
+  // (C never calls txFree, so this runs it to completion.)
+  Steps.push_back(untilDone(1));
   // R finishes the dummy tx and begins again — the new start samples
   // the advanced counter, so it is published PAST W's stamp.
-  Steps.push_back(Until(2, HookKind::Begin));
+  Steps.push_back(untilAt(2, HookKind::Begin));
   // R reads P's old value (W still owns the stripe, not committing)
   // and parks at its commit.
-  Steps.push_back(Until(2, HookKind::Commit));
+  Steps.push_back(untilAt(2, HookKind::Commit));
   // W finishes its commit — validate, write back, release — and parks
   // at the retire hook with the tag already computed.
-  Steps.push_back(Until(0, HookKind::Retire));
+  Steps.push_back(untilAt(0, HookKind::Retire));
   // Steps exhausted: the deterministic round-robin tail logs W's
   // retire, then R's commit — R is live across the retire, exactly
   // the ordering the oracle interrogates.
@@ -745,6 +773,181 @@ TEST(DiagReplayTest, Pr5RstmRetireTagRegression) {
 }
 
 //===----------------------------------------------------------------------===//
+// RSTM invisible-read regressions: commit order and owner-word ABA
+//===----------------------------------------------------------------------===//
+
+/// Initializes the runtime on RSTM's default variant (eager acquire,
+/// invisible reads) under gv1, whose "counter unmoved" heuristic lets a
+/// reader skip validation once it has adopted the current counter.
+void rstmGv1Init() {
+  stm::StmConfig Config;
+  Config.Backend = stm::rt::BackendKind::Rstm;
+  Config.Adaptive = false;
+  Config.Clock = stm::ClockKind::Gv1;
+  Config.LockTableSizeLog2 = 16;
+  stm::StmRuntime::globalInit(Config);
+}
+
+/// Stripe index of \p Addr in RSTM's orec table (after rstmGv1Init).
+uint64_t rstmStripe(const void *Addr) {
+  return stm::Rstm::globals().Table.indexFor(Addr);
+}
+
+/// Commit-order regression. RSTM's writer W flags its orecs committing
+/// before it mints its commit stamp. With the stamp first (the old
+/// order, resurrected by Inject::RstmStampBeforeFlag) an invisible
+/// reader R holding W's owned word could revalidate in between, pass,
+/// adopt the bumped counter, and later skip validation under the gv1
+/// heuristic. Both threads increment X:
+///
+///   W(0): Begin, read X = 0, store X (acquire)    | parked at Read(Y)
+///   R(1): Begin (valid-ts 0), read X = 0 logging  | parked at Read(Z1)
+///         W's owned word
+///   W(0): read Y, commit up to the stamp          | parked at CommitStamp
+///   R(1): read Z1; the counter moved, revalidate  | parked at Validate
+///   R(1): fixed: X carries W's committing tag, so R aborts and restarts
+///         (parked at its next Read). Old order: X still carries the
+///         logged word, R passes, adopts valid-ts 1, reads on to Z2.
+///   W(0): write back X = 1, release, commit
+///   tail: fixed: R re-reads X = 1 and writes 2. Old order: the counter
+///         still equals R's valid-ts, so R acquires X, skips commit
+///         validation (stamp == valid-ts + 1) and writes 0 + 1.
+struct StampOrderRun {
+  bool Stalled = false;
+  uint64_t ReaderAborts = 0;
+  stm::Word FinalX = 0;
+};
+
+StampOrderRun runStampOrderSchedule(bool StampBeforeFlag) {
+  rstmGv1Init();
+  alignas(64) static stm::Word X;
+  alignas(64) static stm::Word Y;
+  alignas(64) static stm::Word Z1;
+  alignas(64) static stm::Word Z2;
+  X = Y = Z1 = Z2 = 0;
+  std::optional<InjectGuard> Guard;
+  if (StampBeforeFlag)
+    Guard.emplace(stm::diag::Inject::RstmStampBeforeFlag);
+
+  std::vector<Step> Steps = {
+      untilAt(0, HookKind::Read, rstmStripe(&Y)),
+      untilAt(1, HookKind::Read, rstmStripe(&Z1)),
+      untilAt(0, HookKind::CommitStamp),
+      untilAt(1, HookKind::Validate),
+      untilAt(1, HookKind::Read),
+      untilDone(0),
+  };
+  Schedule &Sched = Schedule::instance();
+  Schedule::ReplayOptions Opts;
+  Opts.TimeoutMs = 60000;
+  Opts.ExpectedThreads = 2;
+  Sched.startReplay(Steps, Opts);
+
+  StampOrderRun Run;
+  runBoundThreads(2, [&](unsigned I, auto &Tx) {
+    if (I == 0) {
+      stm::atomically(Tx, [&](auto &T) {
+        T.store(&X, T.load(&X) + 1);
+        (void)T.load(&Y);
+      });
+      return;
+    }
+    stm::atomically(Tx, [&](auto &T) {
+      stm::Word V = T.load(&X);
+      (void)T.load(&Z1);
+      (void)T.load(&Z2);
+      T.store(&X, V + 1);
+    });
+    Run.ReaderAborts = Tx.stats().Aborts;
+  });
+  Sched.stopReplay();
+  Run.Stalled = Sched.stalled();
+  Run.FinalX = X;
+
+  Guard.reset();
+  stm::StmRuntime::globalShutdown();
+  return Run;
+}
+
+TEST(DiagReplayTest, RstmFlagBeforeStampRegression) {
+  StampOrderRun Fixed = runStampOrderSchedule(/*StampBeforeFlag=*/false);
+  EXPECT_FALSE(Fixed.Stalled);
+  EXPECT_EQ(2u, Fixed.FinalX) << "an increment was lost";
+  EXPECT_EQ(1u, Fixed.ReaderAborts)
+      << "the reader's revalidation did not fail on the committing tag";
+
+  // Stamp before flag: the same schedule must lose W's increment.
+  StampOrderRun Buggy = runStampOrderSchedule(/*StampBeforeFlag=*/true);
+  EXPECT_FALSE(Buggy.Stalled);
+  EXPECT_EQ(1u, Buggy.FinalX)
+      << "schedule no longer catches the stamp-before-flag commit order";
+}
+
+/// Owner-word ABA regression. An owned orec word used to be the owner's
+/// descriptor pointer, the same for every transaction its thread runs;
+/// it is now unique per writing attempt. W keeps X == Y in every
+/// committed state, and R must never observe them differ:
+///
+///   W(0): txn 1 owns X, memory still X = 0        | parked at Read(Z)
+///   R(1): Begin, read X = 0 logging W's word      | parked at Read(Y)
+///   W(0): txn 1 commits X = Y = 1; txn 2 owns X   | parked at Read(Z)
+///         again
+///   R(1): read Y = 1; the counter moved, so R revalidates X. Fixed: X
+///         carries txn 2's word, not the logged one; R aborts and
+///         re-reads X = Y = 1. With the descriptor as the word, X
+///         matched, and R went on holding X = 0, Y = 1.
+///   tail: W's txn 2 writes X = Y = 2.
+TEST(DiagReplayTest, RstmOwnerWordAbaRegression) {
+  rstmGv1Init();
+  alignas(64) static stm::Word X;
+  alignas(64) static stm::Word Y;
+  alignas(64) static stm::Word Z;
+  X = Y = Z = 0;
+
+  std::vector<Step> Steps = {
+      untilAt(0, HookKind::Read, rstmStripe(&Z)),
+      untilAt(1, HookKind::Read, rstmStripe(&Y)),
+      exactAt(0, HookKind::Read, rstmStripe(&Z)),
+      untilAt(0, HookKind::Read, rstmStripe(&Z)),
+      untilAt(1, HookKind::Commit),
+  };
+  Schedule &Sched = Schedule::instance();
+  Schedule::ReplayOptions Opts;
+  Opts.TimeoutMs = 60000;
+  Opts.ExpectedThreads = 2;
+  Sched.startReplay(Steps, Opts);
+
+  bool Broken = false;
+  uint64_t ReaderAborts = 0;
+  runBoundThreads(2, [&](unsigned I, auto &Tx) {
+    if (I == 0) {
+      for (stm::Word V : {stm::Word(1), stm::Word(2)})
+        stm::atomically(Tx, [&](auto &T) {
+          T.store(&X, V);
+          (void)T.load(&Z);
+          T.store(&Y, V);
+        });
+      return;
+    }
+    stm::atomically(Tx, [&](auto &T) {
+      stm::Word A = T.load(&X);
+      stm::Word B = T.load(&Y);
+      if (A != B)
+        Broken = true;
+    });
+    ReaderAborts = Tx.stats().Aborts;
+  });
+  Sched.stopReplay();
+  EXPECT_FALSE(Sched.stalled());
+  EXPECT_FALSE(Broken) << "R saw X != Y: a reused owner word hid a commit";
+  EXPECT_EQ(1u, ReaderAborts)
+      << "the reader's revalidation did not fail on the re-owned stripe";
+  EXPECT_EQ(2u, X);
+  EXPECT_EQ(2u, Y);
+  stm::StmRuntime::globalShutdown();
+}
+
+//===----------------------------------------------------------------------===//
 // Orec irrevocability: token drain vs. a committer parked mid-commit
 //===----------------------------------------------------------------------===//
 
@@ -776,24 +979,17 @@ TEST(DiagReplayTest, OrecIrrevocableDrainVsParkedCommitter) {
   alignas(64) static stm::Word Y;
   X = Y = 0;
 
-  auto Until = [](uint32_t Tid, HookKind Kind) {
-    Step St;
-    St.Tid = Tid;
-    St.Kind = Kind;
-    St.Until = true;
-    return St;
-  };
   std::vector<Step> Steps;
   // T0 acquires X's orec at encounter time and parks at the
   // commit-stamp hook: locks held, epoch pinned, commit unfinished.
-  Steps.push_back(Until(0, HookKind::CommitStamp));
+  Steps.push_back(untilAt(0, HookKind::CommitStamp));
   // T1 aborts on the foreign orec, retries over the threshold, takes
   // the token, and parks at the first drain-wait iteration.
-  Steps.push_back(Until(1, HookKind::Switch));
+  Steps.push_back(untilAt(1, HookKind::Switch));
   // T0 runs to completion (Retire never fires without pending frees:
   // this degenerates to "finish the thread") — releasing X and
   // unpinning its slot.
-  Steps.push_back(Until(0, HookKind::Retire));
+  Steps.push_back(untilAt(0, HookKind::Retire));
   // Steps exhausted: the round-robin tail drains T1 out of the wait
   // loop and through its irrevocable run.
 

@@ -25,7 +25,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -253,6 +259,85 @@ TEST(ClockTest, RstmGv5CommitsPublishStampsForReclamation) {
         << "reclamation horizon would never advance";
   }
   Rstm::globalShutdown();
+}
+
+/// Aborts the process if the guarded scope is still running after
+/// \p Seconds, so a livelock regression fails fast instead of hanging
+/// the suite until the ctest timeout.
+class Watchdog {
+public:
+  Watchdog(unsigned Seconds, const char *What)
+      : Thread([this, Seconds, What] {
+          std::unique_lock<std::mutex> Lock(Mu);
+          if (!Cv.wait_for(Lock, std::chrono::seconds(Seconds),
+                           [this] { return Done; })) {
+            std::fprintf(stderr, "watchdog: %s still running after %u s\n",
+                         What, Seconds);
+            std::abort();
+          }
+        }) {}
+  Watchdog(const Watchdog &) = delete;
+  Watchdog &operator=(const Watchdog &) = delete;
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Done = true;
+    }
+    Cv.notify_all();
+    Thread.join();
+  }
+
+private:
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Done = false;
+  std::thread Thread; // last: starts once the members above exist
+};
+
+/// An RSTM transaction that stores one word of a stripe and then loads
+/// another word of the same stripe reads a stripe it owns (eager
+/// acquire) or is about to own (lazy). Alone, it must commit on its
+/// first attempt under every clock policy and variant. Under gv4, gv5
+/// and gvshard RSTM always validates at commit, after raising its own
+/// committing tag; a read entry logged as "owned by me" would then fail
+/// every attempt and livelock the thread — hence the watchdog.
+TEST(RstmOwnStripeTest, StoreThenLoadSameStripeCommitsFirstTime) {
+  Watchdog Guard(30, "RstmOwnStripeTest");
+  alignas(16) static Word Cells[2];
+  for (ClockKind Kind : allClockKinds()) {
+    for (bool Eager : {true, false}) {
+      for (bool Visible : {false, true}) {
+        SCOPED_TRACE(std::string(clockKindName(Kind)) +
+                     (Eager ? " eager" : " lazy") +
+                     (Visible ? " visible" : " invisible"));
+        StmConfig Config;
+        Config.LockTableSizeLog2 = 16;
+        Config.GranularityLog2 = 4; // 16-byte stripes: both cells share one
+        Config.Clock = Kind;
+        Config.RstmEagerAcquire = Eager;
+        Config.RstmVisibleReads = Visible;
+        Rstm::globalInit(Config);
+        ASSERT_EQ(Rstm::globals().Table.indexFor(&Cells[0]),
+                  Rstm::globals().Table.indexFor(&Cells[1]));
+        {
+          ThreadScope<Rstm> Scope;
+          auto &Tx = Scope.tx();
+          Cells[0] = 0;
+          Cells[1] = 7;
+          Word Seen = 0;
+          atomically(Tx, [&](auto &T) {
+            T.store(&Cells[0], 1);
+            Seen = T.load(&Cells[1]);
+          });
+          EXPECT_EQ(7u, Seen);
+          EXPECT_EQ(1u, Cells[0]);
+          EXPECT_EQ(1u, Tx.stats().Commits);
+          EXPECT_EQ(0u, Tx.stats().Aborts);
+        }
+        Rstm::globalShutdown();
+      }
+    }
+  }
 }
 
 TEST(ClockTest, ConcurrentIncrementsAreUnique) {
